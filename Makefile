@@ -32,11 +32,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs vet plus the repository's own analyzers (see
-# tools/analyzers): the determinism suite over the simulation core and
-# the poollife packet-ownership suite over the packages that handle
-# pooled packets.
+# lint runs vet, fails on any file gofmt would change, and runs the
+# repository's own analyzers (see tools/analyzers): the determinism
+# suite over the simulation core and the poollife packet-ownership
+# suite over the packages that handle pooled packets.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/analyzers/cmd/determinismlint $(LINT_PKGS)
 	$(GO) run ./tools/analyzers/cmd/poollifelint $(POOL_PKGS)
 
@@ -94,14 +96,24 @@ scenario:
 soak-pooldebug:
 	$(GO) test -race -tags pooldebug -run 'TestChaosSoak|TestHostileSoak|TestReflexSoak' -v -count=1 ./internal/chaos
 
+# fuzz-target runs fuzz target $(1) in package $(2) for 10s.  It first
+# checks that the target exists: `go test -fuzz` with a pattern that
+# matches nothing prints PASS, so a renamed or deleted target would
+# otherwise pass while fuzzing nothing.
+define fuzz-target
+	$(GO) test -list '^$(1)$$' $(2) | grep -qx '$(1)' || { echo "fuzz target $(1) not found in $(2)"; exit 1; }
+	$(GO) test -fuzz='^$(1)$$' -fuzztime=10s $(2)
+endef
+
 # fuzz smoke-tests the three soundness properties: verified programs
 # never trip a dynamic fault, guest programs never escape their tenant
-# grant (and, verified against it, are never denied), and the compiled
-# TPP form is behaviorally identical to the interpreter.
+# grant (and, verified against it, are never denied), and the TCPU
+# executor keeps its contract on arbitrary wire programs (no panics,
+# FlagError exactly on a fault, span recording changes nothing else).
 fuzz:
-	$(GO) test -fuzz=FuzzVerify -fuzztime=10s ./internal/verify
-	$(GO) test -fuzz=FuzzGuard -fuzztime=10s ./internal/asic
-	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/tcpu
+	$(call fuzz-target,FuzzVerify,./internal/verify)
+	$(call fuzz-target,FuzzGuard,./internal/asic)
+	$(call fuzz-target,FuzzExec,./internal/tcpu)
 
 # bench runs every benchmark once (BENCHTIME=1x) as a smoke test; set
 # BENCHTIME=2s BENCH=PipelineTelemetry for real measurements.
@@ -114,9 +126,9 @@ bench-json:
 
 # bench-save runs the benchmarks and commits the measured numbers to
 # BENCH_obs.json via tools/benchjson, which fails if any benchmark
-# produced no result.  The TCPU execution-path trajectory (interpreter
-# vs compiled vs cached, plus the end-to-end pipeline) is carved out of
-# the same run into BENCH_tcpu.json.  Set BENCHTIME=2s for
+# produced no result.  The TCPU execution-path trajectory (the
+# interpreter's per-program cost, plus the end-to-end pipeline) is
+# carved out of the same run into BENCH_tcpu.json.  Set BENCHTIME=2s for
 # publication-grade numbers; the default 1x is the smoke/CI setting.
 bench-save:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -json . \

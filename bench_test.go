@@ -312,10 +312,9 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 }
 
 // BenchmarkTCPU isolates program execution cost on one switch's memory
-// view (DESIGN.md §13): the interpreter, the compiled form, and the
-// compiled form reached through the ingress cache the way a switch
-// actually reaches it (lookup included).  These three are the perf
-// trajectory committed to BENCH_tcpu.json.
+// view (DESIGN.md §13): the interpreter every switch runs, on a
+// five-instruction program.  It is the perf trajectory committed to
+// BENCH_tcpu.json.
 func BenchmarkTCPU(b *testing.B) {
 	_, sw := benchSwitch(b)
 	view := sw.ViewForTesting(nil, 0)
@@ -335,32 +334,6 @@ func BenchmarkTCPU(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tpp.Ptr, tpp.Flags = 0, 0
 			if r := cfg.Exec(tpp, view); r.Fault != nil {
-				b.Fatal(r.Fault)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		p := tcpu.Compile(cfg, tpp)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tpp.Ptr, tpp.Flags = 0, 0
-			if r := p.Exec(tpp, view); r.Fault != nil {
-				b.Fatal(r.Fault)
-			}
-		}
-	})
-	b.Run("compiled-cached", func(b *testing.B) {
-		cache := tcpu.NewCache(cfg, tcpu.DefaultCacheCapacity)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tpp.Ptr, tpp.Flags = 0, 0
-			p := cache.Get(tpp)
-			if p == nil {
-				b.Fatal("cache refused program")
-			}
-			if r := p.Exec(tpp, view); r.Fault != nil {
 				b.Fatal(r.Fault)
 			}
 		}

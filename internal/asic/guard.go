@@ -97,11 +97,6 @@ func (s *Switch) GrantTenant(id guard.TenantID, acl guard.ACL, words int, weight
 		return guard.Grant{}, err
 	}
 	s.zeroRegion(g.Partition)
-	// Guard state changed under the dataplane: flush the compiled
-	// program cache so nothing produced before the grant can run after
-	// it (defense in depth — compilations bake no grant state, but a
-	// flush is cheap and makes staleness structurally impossible).
-	s.progCache.Invalidate()
 	return g, nil
 }
 
@@ -117,7 +112,6 @@ func (s *Switch) RevokeTenant(id guard.TenantID) error {
 		return err
 	}
 	s.zeroRegion(reg)
-	s.progCache.Invalidate() // see GrantTenant
 	return nil
 }
 

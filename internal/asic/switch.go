@@ -197,14 +197,6 @@ type Switch struct {
 	// skip this switch.
 	tcpuOff bool
 
-	// progCache holds this switch's compiled TPPs, keyed on wire bytes
-	// plus the TCPU config the compilation was produced under, so
-	// repeated flows never re-decode a program.  It is flushed on
-	// Reboot and on every tenant grant change (see guard.go): the
-	// compilation itself bakes no guard state in, but a flush is cheap
-	// and makes staleness structurally impossible.
-	progCache *tcpu.Cache
-
 	// execView and execGuard are the per-execution memory-view scratch:
 	// the dataplane is single-threaded (one event at a time), so the
 	// TCPU can reuse one view per switch instead of allocating one per
@@ -275,7 +267,6 @@ func New(sim *netsim.Sim, cfg Config) *Switch {
 		sram:   make([]uint32, mem.SRAMWords),
 		tracer: cfg.Trace,
 	}
-	s.progCache = tcpu.NewCache(cfg.TCPU, 0)
 	s.tppTokens = float64(cfg.TPPBurst) // the gate starts full
 	if cfg.Guard {
 		s.guard = guard.NewTable()
@@ -508,10 +499,6 @@ func (s *Switch) Reboot(bootDelay netsim.Time) {
 	if s.guard != nil {
 		s.guard.ResetBuckets(s.sim.Now())
 	}
-	// Compiled programs are soft state: a restarted ASIC renegotiates
-	// its configuration, so nothing compiled before the crash may run
-	// after it.
-	s.progCache.Invalidate()
 
 	s.tracer.Record(obs.SpanEvent{
 		At: int64(s.sim.Now()), UID: 0, Node: s.cfg.ID,
@@ -845,10 +832,7 @@ func (s *Switch) admitTPP(id guard.TenantID) bool {
 // loads, dropped stores) and surface as FlagAccessFault on the program.
 //
 // The memory views live in per-switch scratch (the dataplane processes
-// one event at a time, so one view per switch suffices), and the
-// program runs in compiled form: a program the trusted edge already
-// compiled is executed directly when its baked config matches this
-// device, and everything else goes through the ingress program cache.
+// one event at a time, so one view per switch suffices).
 //
 //alloc:free
 func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
@@ -864,11 +848,7 @@ func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 		gv = &s.execGuard
 		v = gv
 	}
-	if prog := s.compiledFor(pkt.TPP); prog != nil {
-		s.LastTCPU = prog.Exec(pkt.TPP, v)
-	} else {
-		s.LastTCPU = s.cfg.TCPU.Exec(pkt.TPP, v)
-	}
+	s.LastTCPU = s.cfg.TCPU.Exec(pkt.TPP, v)
 	if gv != nil && gv.denies > 0 {
 		pkt.TPP.Flags |= core.FlagAccessFault
 	}
@@ -883,24 +863,6 @@ func (s *Switch) execTPP(pkt *core.Packet, outPort int) {
 	}
 	s.span(pkt, obs.StageTCPU, uint64(s.LastTCPU.Cycles), uint64(s.LastTCPU.Executed))
 }
-
-// compiledFor resolves the compiled form of t's program: the program
-// the trusted edge attached when its baked device config matches this
-// switch, otherwise this switch's own ingress cache.  A nil return
-// means the interpreter must run (program too long to cache).
-//
-//alloc:free
-func (s *Switch) compiledFor(t *core.TPP) *tcpu.Program {
-	if p, ok := t.Compiled.(*tcpu.Program); ok && p != nil &&
-		p.Matches(s.cfg.TCPU) && p.MatchesTPP(t) {
-		return p
-	}
-	return s.progCache.Get(t)
-}
-
-// ProgCacheStats exposes the ingress program cache's hit/miss counters
-// for tests and capacity planning.
-func (s *Switch) ProgCacheStats() (hits, misses uint64) { return s.progCache.Stats() }
 
 // classify selects the egress queue: the top three TOS bits, clamped to
 // the configured queue count (everything defaults to queue 0).

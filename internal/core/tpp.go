@@ -96,14 +96,6 @@ type TPP struct {
 	// memory access and admission token to a tenant.  Zero is the
 	// operator tenant, which keeps untenanted legacy traffic meaningful.
 	Tenant uint8
-
-	// Compiled caches the device-independent compiled form of the
-	// program (a *tcpu.Program), attached by the trusted edge so every
-	// TCPU on the path can skip its own cache lookup when its device
-	// configuration matches.  It never goes on the wire (AppendTo skips
-	// it, ParseTPP leaves it nil) and is shared by Clone: compiled
-	// programs are immutable and safe to execute concurrently.
-	Compiled any
 }
 
 // tppBlock co-allocates a TPP with its packet memory; per-packet
@@ -185,24 +177,8 @@ func (t *TPP) Clone() *TPP {
 	return &c
 }
 
-// Validate checks structural invariants of the TPP.  It is split into
-// three ordered stages so a compiled program (internal/tcpu) can prove
-// the static stages once and re-run only the dynamic one per packet
-// while faulting in exactly the same order as the interpreter.
+// Validate checks structural invariants of the TPP.
 func (t *TPP) Validate() error {
-	if err := t.ValidateHead(); err != nil {
-		return err
-	}
-	if err := t.ValidateDynamic(); err != nil {
-		return err
-	}
-	return t.ValidateIns()
-}
-
-// ValidateHead checks the invariants that are fixed for a given
-// instruction section and addressing mode: version, mode, and the
-// wire-format instruction-count bound.
-func (t *TPP) ValidateHead() error {
 	if t.Version != TPPVersion {
 		return fmt.Errorf("core: unsupported TPP version %d", t.Version)
 	}
@@ -212,14 +188,6 @@ func (t *TPP) ValidateHead() error {
 	if len(t.Ins) > MaxTPPInstructions {
 		return fmt.Errorf("core: %d instructions exceed maximum %d", len(t.Ins), MaxTPPInstructions)
 	}
-	return nil
-}
-
-// ValidateDynamic checks the invariants that depend on header state a
-// hop can change (or that differ between two packets carrying the same
-// program): memory length, per-hop record size, and stack-pointer
-// alignment.
-func (t *TPP) ValidateDynamic() error {
 	if len(t.Mem)%4 != 0 {
 		return fmt.Errorf("core: packet memory length %d not 4-byte aligned", len(t.Mem))
 	}
@@ -229,11 +197,6 @@ func (t *TPP) ValidateDynamic() error {
 	if t.Mode == AddrStack && t.Ptr%4 != 0 {
 		return fmt.Errorf("core: stack pointer %d not 4-byte aligned", t.Ptr)
 	}
-	return nil
-}
-
-// ValidateIns checks every instruction encoding.
-func (t *TPP) ValidateIns() error {
 	for k, in := range t.Ins {
 		if err := in.Validate(); err != nil {
 			return fmt.Errorf("core: instruction %d: %w", k, err)
@@ -271,7 +234,6 @@ func ParseTPP(b []byte, t *TPP) (int, error) {
 	t.Ptr = binary.BigEndian.Uint16(b[6:8])
 	t.HopLen = binary.BigEndian.Uint16(b[8:10])
 	t.Tenant = b[10]
-	t.Compiled = nil // a reused TPP must not keep a stale compilation
 	n := TPPHeaderLen
 	need := n + nIns*InstructionLen + memWords*4
 	if len(b) < need {

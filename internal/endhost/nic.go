@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/tcpu"
 	"repro/internal/verify"
 )
 
@@ -19,11 +18,9 @@ const DefaultNICQueue = 256
 
 // NIC is a host network interface: a FIFO transmit queue in front of
 // one egress channel.  The NIC is also the trusted edge of the TPP
-// architecture: it seals tenant identities, statically verifies
-// programs at injection (§3.5), and — since verification proves a
-// program safe exactly once — compiles it exactly once too, caching
-// both by the program's wire bytes so repeated flows pay neither cost
-// again.
+// architecture: it seals tenant identities and statically verifies
+// programs at injection (§3.5), memoizing verdicts by the program's
+// static shape so repeated flows do not pay verification again.
 type NIC struct {
 	ch *netsim.Channel
 	// queue[qhead:] are the waiting packets; kick advances qhead so
@@ -36,13 +33,9 @@ type NIC struct {
 	mRejected *obs.Counter
 	tenant    uint8
 
-	// progCache compiles injected programs once, keyed by wire bytes
-	// (built lazily on the first TPP send so the config can account
-	// for the verifier's device limits).  vcache memoizes verification
-	// results by the full static shape of the TPP; both reset when the
-	// verifier or tenant changes.
-	progCache *tcpu.Cache
-	vcache    map[verifyKey]verify.Result
+	// vcache memoizes verification results by the full static shape
+	// of the TPP; it resets when the verifier or tenant changes.
+	vcache map[verifyKey]verify.Result
 
 	// Drops counts transmit-queue tail drops.
 	Drops uint64
@@ -92,9 +85,7 @@ func (n *NIC) QueueLen() int { return len(n.queue) - n.qhead }
 func (n *NIC) SetVerifier(cfg *verify.Config, rejected *obs.Counter) {
 	n.verifier = cfg
 	n.mRejected = rejected
-	// Cached verdicts and compilations were produced under the old
-	// config; drop them.
-	n.progCache = nil
+	// Cached verdicts were produced under the old config; drop them.
 	n.vcache = nil
 }
 
@@ -128,19 +119,6 @@ func (n *NIC) Send(pkt *core.Packet) bool {
 				return false
 			}
 		}
-		// Compile once at the edge and attach the shared immutable
-		// program, so every TCPU on the path whose device config
-		// matches executes it directly.
-		if n.progCache == nil {
-			cfg := tcpu.Config{}
-			if n.verifier != nil {
-				cfg.MaxInstructions = n.verifier.MaxInstructions
-			}
-			n.progCache = tcpu.NewCache(cfg, 0)
-		}
-		if prog := n.progCache.Get(pkt.TPP); prog != nil {
-			pkt.TPP.Compiled = prog
-		}
 	}
 	if n.QueueLen() >= n.max {
 		n.Drops++
@@ -163,8 +141,13 @@ type verifyKey struct {
 	ptr      uint16
 	hopLen   uint16
 	memWords uint16
-	ins      [tcpu.MaxCachedInstructions]uint32
+	ins      [maxVerifyKeyIns]uint32
 }
+
+// maxVerifyKeyIns bounds the program length verifyCached memoizes;
+// longer programs (beyond anything a per-packet device limit admits)
+// are verified on every send.
+const maxVerifyKeyIns = 16
 
 // maxVerifyCache bounds the memoized verdict map; NICs see a handful
 // of distinct programs, so overflow means an adversarial workload and
@@ -172,7 +155,7 @@ type verifyKey struct {
 const maxVerifyCache = 1024
 
 func (n *NIC) verifyCached(t *core.TPP) verify.Result {
-	if len(t.Ins) > tcpu.MaxCachedInstructions {
+	if len(t.Ins) > maxVerifyKeyIns {
 		return verify.Verify(t, *n.verifier)
 	}
 	k := verifyKey{

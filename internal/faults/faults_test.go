@@ -8,6 +8,7 @@ import (
 	"repro/internal/endhost"
 	"repro/internal/faults"
 	"repro/internal/mem"
+	"repro/internal/microburst"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -22,6 +23,9 @@ type rig struct {
 	sws      []*asic.Switch
 	inj      *faults.Injector
 	tracer   *obs.Tracer
+	// tpp makes pump instrument every packet with the microburst
+	// telemetry program.
+	tpp bool
 }
 
 func newRig(t *testing.T, plan faults.Plan) *rig {
@@ -53,7 +57,11 @@ func (r *rig) pump(from, to netsim.Time) (delivered uint64) {
 	before := r.dst.Received
 	for at := from; at < to; at += netsim.Millisecond {
 		r.sim.At(at, func() {
-			r.src.Send(r.src.NewPacket(r.dst.MAC, r.dst.IP, 5000, 5001, 200))
+			pkt := r.src.NewPacket(r.dst.MAC, r.dst.IP, 5000, 5001, 200)
+			if r.tpp {
+				microburst.Instrument(pkt, 4)
+			}
+			r.src.Send(pkt)
 		})
 	}
 	r.sim.RunUntil(to + 10*netsim.Millisecond)

@@ -55,9 +55,9 @@ type HistConfig struct {
 // window on the writer's fabric link; one spine crash-restart at 600ms.
 func DefaultHist(seed int64) HistConfig {
 	return HistConfig{
-		Seed:       seed,
-		Duration:   2 * netsim.Second,
-		SampleFrom: 20 * netsim.Millisecond,
+		Seed:        seed,
+		Duration:    2 * netsim.Second,
+		SampleFrom:  20 * netsim.Millisecond,
 		SampleEvery: 5 * netsim.Millisecond,
 		SampleUntil: 1200 * netsim.Millisecond,
 		SweepEvery:  100 * netsim.Millisecond,
@@ -366,10 +366,10 @@ type SpinConfig struct {
 // completes.
 func DefaultSpin(seed int64) SpinConfig {
 	return SpinConfig{
-		Seed:      seed,
-		Duration:  2 * netsim.Second,
-		MaxFlips:  400,
-		SweepFrom: 1500 * netsim.Millisecond,
+		Seed:       seed,
+		Duration:   2 * netsim.Second,
+		MaxFlips:   400,
+		SweepFrom:  1500 * netsim.Millisecond,
 		SweepEvery: 50 * netsim.Millisecond,
 	}
 }

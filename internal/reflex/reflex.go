@@ -368,9 +368,9 @@ func (a *Arm) heartbeat(m *monitor) *core.Packet {
 		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
 		{Op: core.OpSTORE, A: uint16(a.region.Base) + uint16(2*m.port), B: 2},
 	}, 3)
-	t.SetWord(0, ^uint32(0))  // CEXEC mask: compare the full ID word
-	t.SetWord(1, a.sw.ID())   // CEXEC operand: home switch id
-	t.SetWord(2, m.sent)      // STORE operand: heartbeat sequence
+	t.SetWord(0, ^uint32(0)) // CEXEC mask: compare the full ID word
+	t.SetWord(1, a.sw.ID())  // CEXEC operand: home switch id
+	t.SetWord(2, m.sent)     // STORE operand: heartbeat sequence
 	a.uid++
 	pkt := core.NewUDPPacket(
 		core.Ethernet{Dst: m.dstMAC, Src: a.srcMAC(), Type: core.EtherTypeTPP},

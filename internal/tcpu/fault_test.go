@@ -2,6 +2,7 @@ package tcpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -188,5 +189,96 @@ func TestPOPWithStackPointerPastMemoryFaults(t *testing.T) {
 	}
 	if tpp.Flags&core.FlagError == 0 {
 		t.Fatal("fault did not set FlagError")
+	}
+}
+
+// faultCase is a program that parses but hits one TCPU fault class on
+// a device limited to 5 instructions.
+type faultCase struct {
+	name     string
+	sentinel error
+	tpp      *core.TPP
+}
+
+func faultCases() []faultCase {
+	sram := uint16(mem.SRAMBase)
+	modeMismatch := core.NewTPP(core.AddrHop, []core.Instruction{{Op: core.OpPUSH, A: sram}}, 2)
+	modeMismatch.HopLen = 4
+	overflow := core.NewTPP(core.AddrStack, []core.Instruction{
+		{Op: core.OpPUSH, A: uint16(mem.QueueBase + mem.QueueBytes)}}, 1)
+	overflow.Ptr = 4
+	return []faultCase{
+		{"too-long", ErrProgramTooLong, core.NewTPP(core.AddrStack, make([]core.Instruction, 7), 1)},
+		{"mode-mismatch", ErrModeMismatch, modeMismatch},
+		{"stack-overflow", ErrStackOverflow, overflow},
+		{"stack-underflow", ErrStackUnderflow, core.NewTPP(core.AddrStack, []core.Instruction{
+			{Op: core.OpPOP, A: sram}}, 1)},
+		{"packet-mem-oob", ErrPacketMemOOB, core.NewTPP(core.AddrStack, []core.Instruction{
+			{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchID), B: 9}}, 1)},
+	}
+}
+
+// TestFaultSentinels is the regression test for the fault-path
+// allocation fix: every fault class is a typed, errors.Is-able
+// sentinel; the bare sentinel is returned when spans are off (no
+// per-fault formatting on the hot path) and the formatted detail only
+// appears when span recording is on.
+func TestFaultSentinels(t *testing.T) {
+	for _, c := range faultCases() {
+		t.Run(c.name, func(t *testing.T) {
+			// Spans off: the bare sentinel, nothing formatted.
+			cfg := Config{MaxInstructions: 5}
+			if r := cfg.Exec(c.tpp.Clone(), newFakeView()); r.Fault != c.sentinel {
+				t.Fatalf("spans=off: fault = %v (%T), want the bare sentinel %v",
+					r.Fault, r.Fault, c.sentinel)
+			}
+
+			// Spans on: still errors.Is-able, now with detail.
+			cfg.RecordSpans = true
+			r := cfg.Exec(c.tpp.Clone(), newFakeView())
+			if !errors.Is(r.Fault, c.sentinel) {
+				t.Fatalf("spans=on: fault %v is not errors.Is(%v)", r.Fault, c.sentinel)
+			}
+			if r.Fault.Error() == c.sentinel.Error() {
+				t.Fatalf("spans=on: fault %q carries no detail", r.Fault)
+			}
+			if !strings.Contains(r.Fault.Error(), c.sentinel.Error()) {
+				t.Fatalf("detail %q does not wrap sentinel text %q", r.Fault, c.sentinel)
+			}
+		})
+	}
+}
+
+// TestUnknownOpcodeSentinel covers the defense-in-depth runtime
+// opcode fault directly: opcodes outside the instruction set are
+// rejected statically by core.TPP.Validate, so the interpreter's own
+// unknown-opcode arm can only fire if the two sets ever diverge — it
+// must still follow the sentinel contract.
+func TestUnknownOpcodeSentinel(t *testing.T) {
+	if got := (Config{}).faultOpcode(core.Opcode(200)); got != ErrUnknownOpcode {
+		t.Fatalf("spans=off: %v, want the bare sentinel", got)
+	}
+	got := (Config{RecordSpans: true}).faultOpcode(core.Opcode(200))
+	if !errors.Is(got, ErrUnknownOpcode) || got.Error() == ErrUnknownOpcode.Error() {
+		t.Fatalf("spans=on: %v, want wrapped detail around ErrUnknownOpcode", got)
+	}
+}
+
+// TestFaultPathZeroAlloc pins the bugfix itself: a faulting packet on
+// the hot path (spans off) must not allocate — the old code built a
+// fmt.Errorf per faulting packet, a DoS vector under a fault storm.
+func TestFaultPathZeroAlloc(t *testing.T) {
+	cfg := Config{MaxInstructions: 5}
+	view := newFakeView()
+	for _, c := range faultCases() {
+		tpp, ptr := c.tpp, c.tpp.Ptr
+		if avg := testing.AllocsPerRun(200, func() {
+			tpp.Ptr, tpp.Flags = ptr, 0
+			if r := cfg.Exec(tpp, view); r.Fault != c.sentinel {
+				t.Fatalf("%s: fault = %v", c.name, r.Fault)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s: fault path allocated %.1f times per run, want 0", c.name, avg)
+		}
 	}
 }

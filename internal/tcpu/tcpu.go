@@ -87,6 +87,11 @@ func Exec(t *core.TPP, view mem.View) Result {
 // pointer or hop counter).  It never panics on malformed programs; any
 // violation faults the packet instead, because a switch cannot refuse
 // to forward line-rate traffic.
+//
+// With RecordSpans off, Exec allocates nothing, faulting programs
+// included (see errors.go).
+//
+//alloc:free
 func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
 	defer func() {
 		r.Cycles = cyclesFor(&r)
@@ -116,6 +121,7 @@ func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
 		ok := c.step(t, in, view, &r)
 		if c.RecordSpans {
 			if r.Spans == nil {
+				//alloc:allow per-instruction spans allocate only under tracing (RecordSpans)
 				r.Spans = make([]InsSpan, 0, len(t.Ins))
 			}
 			r.Spans = append(r.Spans, InsSpan{
@@ -139,6 +145,8 @@ func (c Config) Exec(t *core.TPP, view mem.View) (r Result) {
 // step executes one instruction against the view, mutating r's access
 // counters and fault state.  It returns false when execution must stop:
 // a fault, or a failed CEXEC predicate.
+//
+//alloc:free
 func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result) bool {
 	switch in.Op {
 	case core.OpNOP:
@@ -167,6 +175,7 @@ func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result)
 
 	case core.OpPUSH:
 		if t.Mode != core.AddrStack {
+			//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 			r.Fault = c.faultMode(in.Op)
 			return false
 		}
@@ -177,6 +186,7 @@ func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result)
 		}
 		r.Loads++
 		if int(t.Ptr)+4 > len(t.Mem) {
+			//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 			r.Fault = c.faultStackOverflow(t.Ptr, len(t.Mem))
 			return false
 		}
@@ -185,10 +195,12 @@ func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result)
 
 	case core.OpPOP:
 		if t.Mode != core.AddrStack {
+			//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 			r.Fault = c.faultMode(in.Op)
 			return false
 		}
 		if t.Ptr < 4 {
+			//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 			r.Fault = c.faultStackUnderflow(t.Ptr)
 			return false
 		}
@@ -196,6 +208,7 @@ func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result)
 			// A wire-supplied stack pointer can point past packet
 			// memory; faulting (not panicking) keeps the dataplane
 			// robust against crafted frames.
+			//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 			r.Fault = c.faultStackOOB(t.Ptr, len(t.Mem))
 			return false
 		}
@@ -280,6 +293,7 @@ func (c Config) step(t *core.TPP, in core.Instruction, view mem.View, r *Result)
 		}
 
 	default:
+		//alloc:allow fault detail boxes operands only under tracing (RecordSpans)
 		r.Fault = c.faultOpcode(in.Op)
 		return false
 	}
