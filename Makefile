@@ -5,7 +5,7 @@ GO        ?= go
 BENCH     ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build vet lint test race check soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench bench-json bench-save reroute experiments clean
+.PHONY: all build vet lint test race check perfbench-smoke soak soak-pooldebug scenario allocgate allocgate-baseline fuzz bench bench-json bench-save reroute experiments clean
 
 # Packages whose behavior must be a pure function of inputs and seeds;
 # the determinism analyzers (notime, norand, maporder) gate them.
@@ -63,9 +63,16 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# check is the tier-1 gate: vet, build, and the full test suite under
-# the race detector (with shuffled test order).
-check: vet build race
+# perfbench-smoke vets and short-tests the benchmark harness.  perfbench/
+# is its own Go module, so `go build ./...` and `go test ./...` skip it;
+# without this target a change to an API it calls could break the
+# benchmark while every other gate stays green.
+perfbench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
+
+# check is the tier-1 gate: vet, build, the full test suite under the
+# race detector (with shuffled test order), and the perfbench smoke.
+check: vet build race perfbench-smoke
 
 # soak runs the composed chaos scenarios verbosely: the crash-restart
 # soak (reboots + bursty loss + blackhole + throttling), the

@@ -19,10 +19,11 @@
 package accounting
 
 import (
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/mem"
-	"repro/internal/netsim"
+	"repro/internal/tcpu"
 )
 
 // Protocol selects the update discipline.
@@ -36,38 +37,6 @@ const (
 
 // DefaultRetries bounds the CSTORE retry loop per Add.
 const DefaultRetries = 16
-
-// unexecuted pre-fills every result slot before a probe departs.  A
-// TPP can come back echoed without having executed at the gated
-// switch — throttled by an admission gate, stripped at the hop limit —
-// and its result words then still hold whatever the sender wrote.
-// Zero would be ambiguous (a tally can legitimately be zero), so the
-// sentinel makes "the program never ran" distinguishable from every
-// plausible executed outcome, and the client retries instead of
-// trusting garbage.  (A tally that actually reaches 0xFFFFFFFF would
-// alias the sentinel; a 32-bit counter is re-based long before that.)
-const unexecuted = ^uint32(0)
-
-// Inconclusive-echo backoff.  A sentinel echo means an admission gate
-// throttled the program: the tenant is over its token-bucket share.
-// Retrying at echo pace (one RTT, often well under a refill interval)
-// just burns the next token and storms the gate, so retries instead
-// back off exponentially from backoffBase up to backoffCap, giving the
-// bucket time to refill.
-const (
-	backoffBase = 2 * netsim.Millisecond
-	backoffCap  = 64 * netsim.Millisecond
-)
-
-// backoffDelay returns the pause before the retry that will spend the
-// given remaining budget, doubling per attempt already burned.
-func backoffDelay(budget int) netsim.Time {
-	d := backoffBase
-	for burned := DefaultRetries - budget; burned > 0 && d < backoffCap; burned-- {
-		d *= 2
-	}
-	return min(d, backoffCap)
-}
 
 // Counter is an end-host handle onto a shared SRAM tally reachable
 // through probes toward (dstMAC, dstIP); the counter lives at addr on
@@ -89,14 +58,9 @@ type Counter struct {
 	// each one is retried rather than trusted.
 	Inconclusive uint64
 
-	// Poll bookkeeping: the last value/epoch pair observed, so deltas
-	// survive a switch crash-restart wiping the tally back to zero.
-	lastValue uint32
-	lastEpoch uint32
-	polled    bool
-	// Discontinuities counts Polls that found the counter re-based —
-	// the switch rebooted (epoch bump) or the value ran backwards.
-	Discontinuities uint64
+	// poller folds Poll reads so deltas survive a switch crash-restart
+	// wiping the tally back to zero.
+	poller *agent.RegionPoller
 }
 
 // NewCounter builds a handle for the tally at SRAM address addr on the
@@ -104,81 +68,61 @@ type Counter struct {
 func NewCounter(prober *endhost.Prober, dstMAC core.MAC, dstIP uint32,
 	switchID uint32, addr mem.Addr, proto Protocol) *Counter {
 	return &Counter{prober: prober, dstMAC: dstMAC, dstIP: dstIP,
-		addr: addr, switchID: switchID, proto: proto}
+		addr: addr, switchID: switchID, proto: proto, poller: agent.NewRegionPoller(1)}
 }
+
+// Discontinuities counts Polls that found the counter re-based — the
+// switch rebooted (epoch bump) or the value ran backwards.
+func (c *Counter) Discontinuities() uint64 { return c.poller.Discontinuities }
 
 // Add increments the shared counter by n; done (optional) runs with the
 // value the counter held after this update was applied (or the last
 // observed value if the update was abandoned).
 func (c *Counter) Add(n uint32, done func(uint32)) {
-	c.read(func(old, _ uint32) { c.attempt(old, n, DefaultRetries, done) })
+	c.read(DefaultRetries, func(old, _ uint32) { c.attempt(old, n, DefaultRetries, done) })
 }
 
-// read fetches the current value and the switch's boot epoch in one
-// gated TPP.
-//
-//	CEXEC [Switch:SwitchID], 0xFFFFFFFF, $switchID
-//	LOAD  [addr], [Packet:2]
-//	LOAD  [Switch:Epoch], [Packet:3]
-func (c *Counter) read(fn func(value, epoch uint32)) {
-	c.readRetry(DefaultRetries, fn)
-}
-
-// readRetry issues the read probe, retrying up to budget times when
-// the echo shows the program never executed at the gated switch (both
-// result slots still hold the sentinel).  An exhausted budget drops
-// the read silently: the caller's next cycle re-reads anyway.
-func (c *Counter) readRetry(budget int, fn func(value, epoch uint32)) {
-	tpp := core.NewTPP(core.AddrStack, []core.Instruction{
-		{Op: core.OpCEXEC, A: uint16(mem.SwitchBase + mem.SwitchID), B: 0},
-		{Op: core.OpLOAD, A: uint16(c.addr), B: 2},
-		{Op: core.OpLOAD, A: uint16(mem.SwitchBase + mem.SwitchEpoch), B: 3},
-	}, 4)
-	tpp.SetWord(0, 0xFFFFFFFF)
-	tpp.SetWord(1, c.switchID)
-	tpp.SetWord(2, unexecuted)
-	tpp.SetWord(3, unexecuted)
+// read fetches the current value and the switch's boot epoch with a
+// one-word endhost.GatedChunkProgram, retrying up to budget times when
+// the echo shows the program never executed at the gated switch.  An
+// exhausted budget drops the read silently: the caller's next cycle
+// re-reads anyway.
+func (c *Counter) read(budget int, fn func(value, epoch uint32)) {
+	tpp, err := endhost.GatedChunkProgram(c.switchID, []mem.Addr{c.addr}, tcpu.DefaultMaxInstructions)
+	if err != nil {
+		return // impossible: one word always fits
+	}
 	c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
-		if e.Word(2) == unexecuted && e.Word(3) == unexecuted {
+		var value [1]uint32
+		epoch, ok := endhost.DecodeGatedChunk(e, value[:])
+		if !ok {
 			c.Inconclusive++
 			if budget > 1 {
-				c.prober.After(backoffDelay(budget), func() {
-					c.readRetry(budget-1, fn)
+				c.prober.After(endhost.GatedRetryDelay(DefaultRetries-budget), func() {
+					c.read(budget-1, fn)
 				})
 			}
 			return
 		}
-		fn(e.Word(2), e.Word(3))
+		fn(value[0], epoch)
 	})
 }
 
 // Poll reads the counter and reports the change since the previous
-// Poll.  A switch crash-restart wipes the tally back to zero; without
-// the epoch word a poller would compute a large negative delta and
-// corrupt any rate estimate built on it.  Poll instead flags the
-// discontinuity: discont is true (and the delta re-based to the
-// increments accumulated since the wipe) whenever the boot epoch
-// changed — or, belt-and-braces, whenever the value ran backwards.
-// The first Poll establishes the baseline with discont == false.
+// Poll, folded through an agent.RegionPoller.  A switch crash-restart
+// wipes the tally back to zero; without the epoch word a poller would
+// compute a large negative delta and corrupt any rate estimate built
+// on it.  Poll instead flags the discontinuity: discont is true (and
+// the delta re-based to the increments accumulated since the wipe)
+// whenever the boot epoch changed — or, belt-and-braces, whenever the
+// value ran backwards.  The first Poll reports the tally it finds as
+// its delta, with discont == false: what was counted before the first
+// Poll is data too.
 func (c *Counter) Poll(fn func(value uint32, delta int64, discont bool)) {
-	c.read(func(value, epoch uint32) {
-		first := !c.polled
-		discont := !first && (epoch != c.lastEpoch || value < c.lastValue)
-		var delta int64
-		switch {
-		case first:
-			delta = 0
-		case discont:
-			c.Discontinuities++
-			delta = int64(value)
-		default:
-			delta = int64(value) - int64(c.lastValue)
-		}
-		c.polled = true
-		c.lastValue = value
-		c.lastEpoch = epoch
+	c.read(DefaultRetries, func(value, epoch uint32) {
+		deltas, discont := c.poller.Fold(0, epoch, []uint32{value})
 		if fn != nil {
-			fn(value, delta, discont)
+			fn(value, int64(deltas[0]), discont)
 		}
 	})
 }
@@ -197,10 +141,10 @@ func (c *Counter) attempt(old, n uint32, budget int, done func(uint32)) {
 		tpp.SetWord(1, c.switchID)
 		tpp.SetWord(2, old)   // cond
 		tpp.SetWord(3, old+n) // src
-		tpp.SetWord(4, unexecuted)
+		tpp.SetWord(4, endhost.Unexecuted)
 		c.prober.Probe(c.dstMAC, c.dstIP, tpp, func(e *core.TPP) {
 			observed := e.Word(4)
-			if observed == unexecuted {
+			if observed == endhost.Unexecuted {
 				// The CSTORE never ran at the gated switch (throttled
 				// or stripped en route): the attempt is inconclusive,
 				// not lost — retry with the same expected value.
@@ -212,7 +156,7 @@ func (c *Counter) attempt(old, n uint32, budget int, done func(uint32)) {
 					}
 					return
 				}
-				c.prober.After(backoffDelay(budget), func() {
+				c.prober.After(endhost.GatedRetryDelay(DefaultRetries-budget), func() {
 					c.attempt(old, n, budget-1, done)
 				})
 				return

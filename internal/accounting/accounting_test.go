@@ -137,3 +137,30 @@ func TestAtomicGatedToOneSwitch(t *testing.T) {
 		t.Fatalf("non-target switch was written: %d", s1.SRAM(0))
 	}
 }
+
+// TestReadBacksOffOnInconclusiveEchoes: a read gated at a switch that
+// is not on the path comes back unexecuted every time.  The counter
+// must not trust it; it retries after endhost.GatedRetryDelay (2ms
+// doubling to 64ms) and drops the read once DefaultRetries attempts
+// are spent.
+func TestReadBacksOffOnInconclusiveEchoes(t *testing.T) {
+	f := setup(t)
+	c := NewCounter(f.probers[0], f.target.MAC, f.target.IP, f.sw.ID()+1, f.addr, Atomic)
+	start := f.sim.Now()
+	c.Add(1, func(uint32) { t.Error("Add completed on an unexecuted read") })
+
+	// Attempts leave at 0, 2, 6, 14, 30 and 62ms plus one RTT each, the
+	// seventh not before 126ms: six echoes by 100ms.
+	f.sim.RunUntil(start + 100*netsim.Millisecond)
+	if c.Inconclusive != 6 {
+		t.Fatalf("Inconclusive after 100ms = %d, want 6", c.Inconclusive)
+	}
+	// The other ten wait 64ms each; the last leaves at about 702ms.
+	f.sim.RunUntil(start + 2*netsim.Second)
+	if c.Inconclusive != DefaultRetries {
+		t.Fatalf("Inconclusive = %d, want %d", c.Inconclusive, DefaultRetries)
+	}
+	if got := f.sw.SRAM(f.sramSlot); got != 0 {
+		t.Fatalf("tally = %d, want 0", got)
+	}
+}

@@ -61,13 +61,36 @@ func TestPollFlagsRebootDiscontinuity(t *testing.T) {
 	if s.value != 7 || s.delta != 7 {
 		t.Fatalf("re-based poll = %+v, want value 7, delta 7", s)
 	}
-	if c.Discontinuities != 1 {
-		t.Fatalf("Discontinuities = %d, want 1", c.Discontinuities)
+	if c.Discontinuities() != 1 {
+		t.Fatalf("Discontinuities = %d, want 1", c.Discontinuities())
 	}
 
 	// Back to steady state: the next poll is ordinary again.
 	add(3)
 	if s := poll(); s.value != 10 || s.delta != 3 || s.discont {
 		t.Fatalf("post-recovery poll = %+v, want {10 3 false}", s)
+	}
+}
+
+// TestPollFirstObservationIsData: a tally that was counted before the
+// first Poll is data, not a baseline to hide — the first Poll reports
+// it whole as its delta, without a discontinuity, as every later fold
+// through agent.RegionPoller would.
+func TestPollFirstObservationIsData(t *testing.T) {
+	f := setup(t)
+	c := NewCounter(f.probers[0], f.target.MAC, f.target.IP, f.sw.ID(), f.addr, Atomic)
+	c.Add(25, nil)
+	f.sim.RunUntil(f.sim.Now() + 10*netsim.Millisecond)
+
+	polls := 0
+	c.Poll(func(value uint32, delta int64, discont bool) {
+		polls++
+		if value != 25 || delta != 25 || discont {
+			t.Errorf("first poll = {%d %d %v}, want {25 25 false}", value, delta, discont)
+		}
+	})
+	f.sim.RunUntil(f.sim.Now() + 10*netsim.Millisecond)
+	if polls != 1 || c.Discontinuities() != 0 {
+		t.Fatalf("polls %d, Discontinuities %d; want 1, 0", polls, c.Discontinuities())
 	}
 }

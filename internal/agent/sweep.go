@@ -1,20 +1,20 @@
 package agent
 
 // RegionPoller folds periodic sweeps of a switch SRAM word region into
-// monotone per-word accumulations, with the same discontinuity
-// semantics as accounting.Counter.Poll: a sweep whose boot epoch
-// differs from the last one observed for a word — or whose value ran
+// monotone per-word accumulations.  A sweep whose boot epoch differs
+// from the last one observed for a word — or whose value ran
 // backwards, belt-and-braces — means the switch crash-restarted and
 // wiped the region, so the word's delta is re-based to the value
 // accumulated since the wipe instead of going negative.
 //
 // The poller is transport-agnostic: callers (the in-band telemetry
-// collector, or any task sweeping counters it laid out in SRAM) read
-// chunks of the region with gated TPPs that fetch the chunk and the
-// switch's [Switch:Epoch] atomically in one execution, then Fold each
-// chunk.  Words are tracked independently because chunks land in
-// separate probes: a reboot between two probes of one sweep re-bases
-// exactly the words read after the wipe.
+// collector, accounting.Counter.Poll over its one-word tally, or any
+// task sweeping counters it laid out in SRAM) read chunks of the
+// region with gated TPPs that fetch the chunk and the switch's
+// [Switch:Epoch] atomically in one execution, then Fold each chunk.
+// Words are tracked independently because chunks land in separate
+// probes: a reboot between two probes of one sweep re-bases exactly
+// the words read after the wipe.
 type RegionPoller struct {
 	last      []uint32
 	lastEpoch []uint32
@@ -44,10 +44,10 @@ func (p *RegionPoller) Words() int { return len(p.last) }
 // offset+i, and epoch is the boot epoch read in the same TPP execution.
 // It returns the per-word deltas this sweep contributed (never
 // negative: a wiped word re-bases to its post-wipe value) and whether
-// any word was re-based.  The first observation of a word establishes
-// its baseline with a zero delta — the increments it reports were
-// already accumulated by whoever wrote them, not by this poller.
-// Chunks that fall outside the region are clipped.
+// any word was re-based.  The first observation of a word reports the
+// value already there as its delta, without a discontinuity: what was
+// counted before the poller started is data too, so Cumulative covers
+// the whole epoch.  Chunks that fall outside the region are clipped.
 func (p *RegionPoller) Fold(offset int, epoch uint32, vals []uint32) (deltas []uint64, discont bool) {
 	deltas = make([]uint64, len(vals))
 	for i, v := range vals {
@@ -58,8 +58,6 @@ func (p *RegionPoller) Fold(offset int, epoch uint32, vals []uint32) (deltas []u
 		switch {
 		case !p.polled[w]:
 			p.polled[w] = true
-			// Baseline: what is already in the region predates this
-			// poller; count it so Cumulative covers the whole epoch.
 			deltas[i] = uint64(v)
 		case epoch != p.lastEpoch[w] || v < p.last[w]:
 			p.Discontinuities++

@@ -382,7 +382,7 @@ func Run(cfg Config) Result {
 	res.EpochBumps = ctl.EpochBumps
 	res.Reinits = ctl.Reinits
 	res.RCPTimeouts = ctl.Timeouts
-	res.Discontinuities = poller.Discontinuities
+	res.Discontinuities = poller.Discontinuities()
 	res.FinalTally = lastValue
 	res.Throttled = leaves[2].TPPsThrottled()
 	res.StreamTimeouts = streamProber.TimedOut

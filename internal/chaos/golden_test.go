@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,13 +67,13 @@ func TestSoakGolden(t *testing.T) {
 }
 
 // renderValue writes v as one "path = value" line per leaf, walking
-// structs, slices, arrays, maps (in key order), pointers and
-// interfaces, so the text is free of addresses and stable across runs.
-// Numbers print as raw values, not through String methods that round
-// (netsim.Time prints microseconds); floats print in their shortest
-// exact form; a nil slice and an empty one render differently, as
-// reflect.DeepEqual tells them apart.  Kinds a Result never holds
-// (funcs, channels) fail the test.
+// structs, slices, arrays and pointers, so the text is free of
+// addresses and stable across runs.  Numbers print as raw values, not
+// through String methods that round (netsim.Time prints microseconds);
+// floats print in their shortest exact form; a nil slice and an empty
+// one render differently, as reflect.DeepEqual tells them apart.  Kinds
+// no Result holds (maps, interfaces, funcs) fail the test rather than
+// render unstably.
 func renderValue(t *testing.T, b *strings.Builder, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -90,18 +89,7 @@ func renderValue(t *testing.T, b *strings.Builder, path string, v reflect.Value)
 		for i := range v.Len() {
 			renderValue(t, b, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
 		}
-	case reflect.Map:
-		if v.IsNil() {
-			fmt.Fprintf(b, "%s = nil\n", path)
-			return
-		}
-		keys := v.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
-		fmt.Fprintf(b, "%s.len = %d\n", path, len(keys))
-		for _, k := range keys {
-			renderValue(t, b, fmt.Sprintf("%s[%v]", path, k), v.MapIndex(k))
-		}
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
 		if v.IsNil() {
 			fmt.Fprintf(b, "%s = nil\n", path)
 			return

@@ -382,7 +382,7 @@ func RunHostile(cfg HostileConfig) HostileResult {
 	}
 
 	res.WriterFailures = writer.Failures
-	res.Discontinuities = poller.Discontinuities
+	res.Discontinuities = poller.Discontinuities()
 	res.FinalTally = lastValue
 	// Read the tally straight out of s1's SRAM through the accounting
 	// tenant's relocation — the word the writer's CSTOREs landed on.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 // Unexecuted is the sentinel result slots are pre-filled with before a
@@ -18,6 +19,21 @@ import (
 // 0xFFFFFFFF aliases the sentinel; 32-bit tallies are re-based long
 // before that.)
 const Unexecuted = ^uint32(0)
+
+// GatedRetryDelay returns the pause before retrying a gated probe after
+// retry consecutive inconclusive (or lost) attempts: 2ms, doubling per
+// attempt to a 64ms cap.  An inconclusive echo usually means an
+// admission gate throttled the program because the tenant is over its
+// token-bucket share; retrying at echo pace (one RTT, often well under
+// a refill interval) would just burn the next token and storm the
+// gate, so retries back off to give the bucket time to refill.
+func GatedRetryDelay(retry int) netsim.Time {
+	d := 2 * netsim.Millisecond
+	for ; retry > 0 && d < 64*netsim.Millisecond; retry-- {
+		d *= 2
+	}
+	return d
+}
 
 // gatedOverhead is the instruction cost of the gate: the CEXEC switch
 // match plus the atomic [Switch:Epoch] read.
@@ -59,24 +75,25 @@ func GatedChunkProgram(switchID uint32, addrs []mem.Addr, insLimit int) (*core.T
 }
 
 // DecodeGatedChunk extracts a gated chunk probe's results from its
-// echo.  ok is false when the program never executed at the gated
-// switch (the epoch slot still holds the sentinel) or any value slot
-// does — the caller should drop the whole chunk and let the next sweep
-// re-read it, rather than fold garbage.
-func DecodeGatedChunk(e *core.TPP, n int) (epoch uint32, vals []uint32, ok bool) {
-	if e == nil || e.MemWords() < 3+n {
-		return 0, nil, false
+// echo into vals, one region word per element.  ok is false when the
+// program never executed at the gated switch (the epoch slot still
+// holds the sentinel) or any value slot does — the caller should drop
+// the whole chunk and retry or let the next sweep re-read it, rather
+// than fold garbage; vals is then partly written.  The caller owns
+// vals, so a single-word read decodes into a stack array.
+func DecodeGatedChunk(e *core.TPP, vals []uint32) (epoch uint32, ok bool) {
+	if e == nil || e.MemWords() < 3+len(vals) {
+		return 0, false
 	}
 	epoch = e.Word(2)
 	if epoch == Unexecuted {
-		return 0, nil, false
+		return 0, false
 	}
-	vals = make([]uint32, n)
 	for i := range vals {
 		vals[i] = e.Word(3 + i)
 		if vals[i] == Unexecuted {
-			return 0, nil, false
+			return 0, false
 		}
 	}
-	return epoch, vals, true
+	return epoch, true
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 func TestGatedChunkProgramShape(t *testing.T) {
@@ -47,29 +48,39 @@ func TestDecodeGatedChunkAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vals := make([]uint32, 2)
 	// Never executed: every slot still sentinel.
-	if _, _, ok := DecodeGatedChunk(tpp, 2); ok {
+	if _, ok := DecodeGatedChunk(tpp, vals); ok {
 		t.Fatal("decoded a chunk that never executed")
 	}
 	// Executed: epoch and both values filled.
 	tpp.SetWord(2, 4)
 	tpp.SetWord(3, 100)
 	tpp.SetWord(4, 200)
-	epoch, vals, ok := DecodeGatedChunk(tpp, 2)
+	epoch, ok := DecodeGatedChunk(tpp, vals)
 	if !ok || epoch != 4 || vals[0] != 100 || vals[1] != 200 {
 		t.Fatalf("decode: ok=%v epoch=%d vals=%v", ok, epoch, vals)
 	}
 	// A partially-filled echo (value slot still sentinel) is dropped
 	// whole rather than folded half-garbage.
 	tpp.SetWord(4, Unexecuted)
-	if _, _, ok := DecodeGatedChunk(tpp, 2); ok {
+	if _, ok := DecodeGatedChunk(tpp, vals); ok {
 		t.Fatal("decoded a chunk with a sentinel value slot")
 	}
 	// Nil and short echoes are rejected.
-	if _, _, ok := DecodeGatedChunk(nil, 2); ok {
+	if _, ok := DecodeGatedChunk(nil, vals); ok {
 		t.Fatal("decoded nil echo")
 	}
-	if _, _, ok := DecodeGatedChunk(tpp, 10); ok {
+	if _, ok := DecodeGatedChunk(tpp, make([]uint32, 10)); ok {
 		t.Fatal("decoded echo shorter than requested")
+	}
+}
+
+func TestGatedRetryDelay(t *testing.T) {
+	want := []netsim.Time{2, 4, 8, 16, 32, 64, 64, 64, 64}
+	for retry, ms := range want {
+		if got := GatedRetryDelay(retry); got != ms*netsim.Millisecond {
+			t.Errorf("GatedRetryDelay(%d) = %v, want %dms", retry, got, ms)
+		}
 	}
 }

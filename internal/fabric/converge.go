@@ -2,18 +2,14 @@ package fabric
 
 import "repro/internal/netsim"
 
-// ConvergeConfig bounds the converge loop the way endhost.ProbeConfig
-// bounds a probe: a fixed attempt budget with exponential backoff
-// between rounds.
+// ConvergeConfig bounds the converge loop: a fixed attempt budget with
+// exponential backoff between rounds.
 type ConvergeConfig struct {
 	// Budget is the maximum diff/apply attempts (default 5).
 	Budget int
 	// Backoff is the delay before the second attempt (default 10ms);
-	// each further attempt multiplies it by BackoffFactor (default 2,
-	// values below 1 are clamped to 1 — never shrinking, exactly the
-	// prober's discipline).
-	Backoff       netsim.Time
-	BackoffFactor float64
+	// converge doubles it before each further attempt.
+	Backoff netsim.Time
 	// ApplyDelay inserts simulated time between reading the diff and
 	// applying it, widening the window in which a fault can race the
 	// apply.  Zero (the default) diffs and applies back-to-back.
@@ -26,13 +22,6 @@ func (c ConvergeConfig) resolve() ConvergeConfig {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 10 * netsim.Millisecond
-	}
-	if c.BackoffFactor < 1 {
-		if c.BackoffFactor <= 0 {
-			c.BackoffFactor = 2
-		} else {
-			c.BackoffFactor = 1
-		}
 	}
 	return c
 }
@@ -134,8 +123,7 @@ func (c *Controller) convergeAttempt(spec Spec, cfg ConvergeConfig, backoff nets
 			done(*res)
 			return
 		}
-		next := netsim.Time(float64(backoff) * cfg.BackoffFactor)
-		c.sim.After(backoff, func() { c.convergeAttempt(spec, cfg, next, res, done) })
+		c.sim.After(backoff, func() { c.convergeAttempt(spec, cfg, 2*backoff, res, done) })
 	}
 
 	if cfg.ApplyDelay > 0 {

@@ -144,8 +144,9 @@ func TestConvergeBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestConvergeBackoffClock pins the retry cadence to the prober's
-// exponential discipline: attempts at t0, +b, +2b, +4b...
+// TestConvergeBackoffClock pins the retry cadence: converge doubles its
+// own Backoff before each further attempt, so attempts land at t0, +b,
+// +2b, +4b...
 func TestConvergeBackoffClock(t *testing.T) {
 	h := newHarness(1)
 	spec := fabric.Spec{Devices: []fabric.DeviceSpec{
@@ -154,7 +155,7 @@ func TestConvergeBackoffClock(t *testing.T) {
 			{Name: "b", Words: 1},
 		}},
 	}}
-	cfg := fabric.ConvergeConfig{Budget: 4, Backoff: 2 * netsim.Millisecond, BackoffFactor: 2}
+	cfg := fabric.ConvergeConfig{Budget: 4, Backoff: 2 * netsim.Millisecond}
 	res := driveConverge(t, h, spec, cfg, netsim.Second)
 	if len(res.Rounds) != 4 {
 		t.Fatalf("want 4 rounds, got %d", len(res.Rounds))

@@ -23,7 +23,7 @@
 //     snapshot, and every op's effect is re-read and verified
 //     field-by-field before the device counts as applied.
 //   - Converge loops diff/apply with a bounded attempt budget and
-//     exponential backoff (the endhost.Prober deadline discipline), so
+//     exponential backoff (it doubles its own Backoff per round), so
 //     an apply that races a faults.SwitchReboot rolls forward: the next
 //     round re-diffs against the post-boot state and re-applies what
 //     the wipe lost.  An exhausted budget degrades gracefully — the

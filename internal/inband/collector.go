@@ -127,13 +127,10 @@ func (c *Collector) fold(echoes []*core.TPP) {
 	c.inFlight = false
 	var folded uint64
 	discont := false
+	buf := make([]uint32, endhost.GatedChunkWords(c.cfg.InsLimit))
 	for k, e := range echoes {
-		if e == nil {
-			c.Incomplete++
-			c.mIncomplete.Inc()
-			continue
-		}
-		epoch, vals, ok := endhost.DecodeGatedChunk(e, c.sizes[k])
+		vals := buf[:c.sizes[k]]
+		epoch, ok := endhost.DecodeGatedChunk(e, vals)
 		if !ok {
 			c.Incomplete++
 			c.mIncomplete.Inc()

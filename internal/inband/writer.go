@@ -4,15 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/endhost"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-)
-
-// Writer backoff after an inconclusive echo or a failed send, doubling
-// to a cap — the same shape accounting uses for its CSTORE retries.
-const (
-	writerBackoffBase = 2 * netsim.Millisecond
-	writerBackoffCap  = 64 * netsim.Millisecond
 )
 
 // WriterConfig wires a HistWriter to its switch window.
@@ -59,7 +51,10 @@ type HistWriter struct {
 	epoch  uint32
 
 	inFlight bool
-	backoff  netsim.Time
+	// retries counts consecutive attempts that were lost or came back
+	// inconclusive; it picks the endhost.GatedRetryDelay before the
+	// next re-offer and resets on a conclusive echo.
+	retries int
 
 	// Samples counts Observe calls; Applied counts attempts whose echo
 	// proved this transmission committed; Duplicates counts echoes
@@ -184,7 +179,8 @@ func (w *HistWriter) pump() {
 func (w *HistWriter) onAttemptLost() {
 	w.inFlight = false
 	w.Failures++
-	w.cfg.Prober.After(w.nextBackoff(), w.pump)
+	w.cfg.Prober.After(endhost.GatedRetryDelay(w.retries), w.pump)
+	w.retries++
 }
 
 func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
@@ -196,10 +192,11 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		// stripped): inconclusive, back off and retry the same cond.
 		w.Inconclusive++
 		w.mInconclusive.Inc()
-		w.cfg.Prober.After(w.nextBackoff(), w.pump)
+		w.cfg.Prober.After(endhost.GatedRetryDelay(w.retries), w.pump)
+		w.retries++
 		return
 	}
-	w.backoff = 0
+	w.retries = 0
 	rebased := epoch != w.epoch
 	if rebased {
 		// The switch crash-restarted since the last conclusive echo:
@@ -239,16 +236,4 @@ func (w *HistWriter) onEcho(i int, cond uint32, e *core.TPP) {
 		w.shadow[i] = got
 	}
 	w.pump()
-}
-
-func (w *HistWriter) nextBackoff() netsim.Time {
-	if w.backoff == 0 {
-		w.backoff = writerBackoffBase
-	} else if w.backoff < writerBackoffCap {
-		w.backoff *= 2
-		if w.backoff > writerBackoffCap {
-			w.backoff = writerBackoffCap
-		}
-	}
-	return w.backoff
 }

@@ -65,7 +65,8 @@ func experimentPrograms() map[string]*core.TPP {
 	rcpUpdate.Ptr = 12
 	progs["rcp-star-update"] = rcpUpdate
 
-	// accounting.Counter.readRetry: gated value+epoch read.
+	// Gated value+epoch read: accounting's read before it moved onto
+	// endhost.GatedChunkProgram (epoch first), kept as an interpreter case.
 	progs["accounting-read"] = gated(4, []core.Instruction{
 		{Op: core.OpLOAD, A: sramStat, B: 2},
 		{Op: core.OpLOAD, A: swEpoch, B: 3},
